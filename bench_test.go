@@ -276,6 +276,29 @@ func BenchmarkLakeBuildStages(b *testing.B) {
 	b.ReportMetric(float64(sum.Josie.Nanoseconds())/n, "josie-ns/op")
 }
 
+// BenchmarkSynthesizeKB measures KB synthesis from the lake itself (the
+// set-up cost of every SynthesizeKB deployment) on the 360-table X3 lake
+// and on a 90-table lake of the benchmark's pipeline shape. The all-pairs
+// reference it replaced is benchmarked in internal/kb
+// (BenchmarkSynthesizeReference).
+func BenchmarkSynthesizeKB(b *testing.B) {
+	lakes := []struct {
+		name   string
+		tables []*table.Table
+	}{
+		{"JoinSearchLake", experiments.JoinSearchLake(17).Tables},
+		{"Lake90", synth.GenerateLake(synth.LakeOptions{Seed: 1, Families: 10, TablesPerFamily: 6,
+			RowsPerTable: 40, JoinablePerFamily: 2, NoiseTables: 10}).Tables},
+	}
+	for _, l := range lakes {
+		b.Run(l.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kb.Synthesize(l.tables, kb.SynthesizeOptions{})
+			}
+		})
+	}
+}
+
 // mutationFixture builds the 360-table X3 lake plus one extra table (a
 // renamed clone of a family partition, so its domains overlap the lake) for
 // the incremental-maintenance benchmarks.
@@ -481,9 +504,9 @@ func BenchmarkKBAnnotate(b *testing.B) {
 
 // BenchmarkSignKernel measures the signing kernels behind the sketch
 // engines on one 512-value domain at the default sketch size: the batched
-// MinHash kernel against the retained scalar reference (the bit-identical
-// pair pinned by TestSignBatchedMatchesScalar), and the KMV bottom-k
-// signer, whose speed is the reason the second engine exists.
+// MinHash kernel, and the KMV bottom-k signer, whose speed is the reason
+// the second engine exists. The scalar MinHash reference is a test-only
+// kernel, benchmarked against the batched one in internal/minhash.
 func BenchmarkSignKernel(b *testing.B) {
 	const k, n = 128, 512
 	rng := rand.New(rand.NewSource(9))
@@ -496,11 +519,6 @@ func BenchmarkSignKernel(b *testing.B) {
 	b.Run("MinHashBatched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fam.SignFingerprintsInto(fps, sig)
-		}
-	})
-	b.Run("MinHashScalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fam.SignScalarInto(fps, sig)
 		}
 	})
 	b.Run("KMV", func(b *testing.B) {

@@ -348,7 +348,9 @@ func parseShardOf(s string) (shard, count int, err error) {
 // the -lake directory: exactly the tables lake.ShardIndex(name, N) routes
 // to shard I, so N such servers partition the directory with no overlap
 // and no gaps. An empty slice is valid — the shard fills via routed
-// mutations.
+// mutations. With synthKB the KB is synthesized over every table of the
+// directory, not the slice, so all N shards hold the same KB, the one
+// lake.NewSharded builds over the same tables.
 func newShardPipeline(lakeDir string, synthKB bool, engine, shardOf string) (*core.Pipeline, error) {
 	if lakeDir == "" {
 		return nil, fmt.Errorf("-lake directory is required")
@@ -368,7 +370,11 @@ func newShardPipeline(lakeDir string, synthKB bool, engine, shardOf string) (*co
 		}
 	}
 	fmt.Fprintf(os.Stderr, "dialite: shard %d/%d holds %d of %d tables from %s\n", shard, count, len(mine), len(all), lakeDir)
-	cfg := core.Config{Knowledge: kb.Demo(), SynthesizeKB: synthKB}
+	know := kb.Demo()
+	if synthKB {
+		know = know.Merge(kb.Synthesize(all, kb.SynthesizeOptions{}))
+	}
+	cfg := core.Config{Knowledge: know}
 	cfg.LakeOptions.LSH.Engine = sketch.Engine(engine)
 	return core.New(mine, cfg)
 }

@@ -7,15 +7,19 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/analyze"
+	"repro/internal/kb"
+	"repro/internal/lake"
 	"repro/internal/paperdata"
 	"repro/internal/persist"
 	"repro/internal/serve"
+	"repro/internal/synth"
 	"repro/internal/table"
 	"repro/internal/testutil"
 )
@@ -486,5 +490,50 @@ func TestCmdSnapshotValidation(t *testing.T) {
 	defer st.Close()
 	if st.Lake().Size() != 2 {
 		t.Fatalf("seeded lake size = %d", st.Lake().Size())
+	}
+}
+
+// TestShardPipelinesShareSynthesizedKB checks that `serve -shard-of I/N
+// -synth` servers over one directory hold one KB, synthesized over the
+// whole directory, and that it is the composite KB lake.NewSharded builds.
+func TestShardPipelinesShareSynthesizedKB(t *testing.T) {
+	dir := t.TempDir()
+	sl := synth.GenerateLake(synth.LakeOptions{Seed: 3, Families: 4, TablesPerFamily: 3, RowsPerTable: 20, JoinablePerFamily: 1, NoiseTables: 3})
+	for _, tb := range sl.Tables {
+		if err := tb.WriteCSVFile(filepath.Join(dir, tb.Name+".csv")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dumps []kb.Dump
+	for _, of := range []string{"0/2", "1/2"} {
+		p, err := newShardPipeline(dir, true, "", of)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dumps = append(dumps, p.Lake().Knowledge().Dump())
+	}
+	if !reflect.DeepEqual(dumps[0], dumps[1]) {
+		t.Fatal("shards 0/2 and 1/2 hold different synthesized KBs")
+	}
+	all, err := table.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := lake.NewSharded(all, 2, lake.Options{Knowledge: kb.Demo(), SynthesizeKB: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dumps[0], sh.Knowledge().Dump()) {
+		t.Error("shard KB differs from the composite KB of lake.NewSharded")
+	}
+	// The check bites: one shard's slice alone synthesizes another KB.
+	var mine []*table.Table
+	for _, tb := range all {
+		if lake.ShardIndex(tb.Name, 2) == 0 {
+			mine = append(mine, tb)
+		}
+	}
+	if reflect.DeepEqual(dumps[0], kb.Demo().Merge(kb.Synthesize(mine, kb.SynthesizeOptions{})).Dump()) {
+		t.Error("fixture too small: the slice KB equals the whole-directory KB")
 	}
 }

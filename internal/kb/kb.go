@@ -9,6 +9,7 @@
 package kb
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -54,14 +55,10 @@ func (k *KB) AddEntity(entity string, types ...string) {
 	if e == "" {
 		return
 	}
-	have := make(map[string]bool)
-	for _, t := range k.entityTypes[e] {
-		have[t] = true
-	}
+	// An entity carries one or two types, so a scan beats a set.
 	for _, t := range types {
-		if !have[t] {
+		if !slices.Contains(k.entityTypes[e], t) {
 			k.entityTypes[e] = append(k.entityTypes[e], t)
-			have[t] = true
 		}
 	}
 }

@@ -13,9 +13,10 @@ func sortStrings(xs []string) { sort.Strings(xs) }
 
 // SynthesizeOptions configures KB synthesis from a data lake.
 type SynthesizeOptions struct {
-	// MinJaccard is the column-pair value-overlap threshold above which two
-	// columns are considered to draw from the same synthesized type.
-	// Default 0.3.
+	// MinJaccard is the column-pair value-overlap threshold at or above
+	// which two columns are considered to draw from the same synthesized
+	// type. Default 0.3. Because it is always positive, two columns that
+	// share no value can never qualify, and Synthesize never compares them.
 	MinJaccard float64
 	// MaxPairsPerTable caps the relationship pairs recorded per column pair
 	// (guards against quadratic blowup on very tall tables). Default 2000.
@@ -37,14 +38,29 @@ func (o SynthesizeOptions) withDefaults() SynthesizeOptions {
 // own value co-occurrence structure supplies semantics.
 //
 //   - Columns that are mostly textual are clustered by value-set Jaccard
-//     similarity (union-find over pairs above MinJaccard); each cluster
-//     becomes a synthesized type "syn:<representative>".
+//     similarity (union-find over pairs at or above MinJaccard); each
+//     cluster becomes a synthesized type "syn:<representative>".
 //   - Every distinct value of a clustered column becomes an entity of the
 //     cluster's type.
 //   - For each table and each ordered pair of clustered columns, row-aligned
 //     value pairs become relationships labeled
 //     "syn:<typeA>-><typeB>", so two tables that relate the same kinds of
 //     things in the same way share relationship labels.
+//
+// Clustering counts overlaps exactly over an inverted index instead of
+// comparing every column pair. Each column's normalized distinct values
+// are interned to dense IDs, and each ID keeps the ascending list of
+// columns holding it. Walking column i's postings counts |i∩j| for every
+// later column j that shares a value with i, and i and j are unioned when
+// inter/(|i|+|j|-inter) >= MinJaccard: the same integers and the same
+// division as tokenize.Jaccard, so every union decision matches the
+// all-pairs comparison. Pairs that share no value are skipped, which is
+// exact because MinJaccard > 0. The union-find roots every component at
+// its minimum column index and names it after its smallest member key, so
+// visiting pairs in another order changes neither roots nor names. The work
+// is the sum of all pairwise overlaps plus one pass over the values: never
+// more than the all-pairs cost, and near-linear on a lake whose columns
+// overlap sparsely.
 func Synthesize(tables []*table.Table, opts SynthesizeOptions) *KB {
 	opts = opts.withDefaults()
 	type colRef struct {
@@ -64,6 +80,25 @@ func Synthesize(tables []*table.Table, opts SynthesizeOptions) *KB {
 			}
 			cols = append(cols, colRef{tableIdx: ti, col: c, values: vals})
 		}
+	}
+	// Inverted index: value ID -> ascending indexes of the columns holding
+	// it, and each column's values as IDs.
+	valueID := make(map[string]int32)
+	var postings [][]int32
+	colIDs := make([][]int32, len(cols))
+	for i, cr := range cols {
+		ids := make([]int32, len(cr.values))
+		for vi, v := range cr.values {
+			id, ok := valueID[v]
+			if !ok {
+				id = int32(len(postings))
+				valueID[v] = id
+				postings = append(postings, nil)
+			}
+			ids[vi] = id
+			postings[id] = append(postings[id], int32(i))
+		}
+		colIDs[i] = ids
 	}
 	// Union-find clustering of columns by value overlap.
 	parent := make([]int, len(cols))
@@ -87,12 +122,30 @@ func Synthesize(tables []*table.Table, opts SynthesizeOptions) *KB {
 			parent[rb] = ra
 		}
 	}
-	for i := 0; i < len(cols); i++ {
-		for j := i + 1; j < len(cols); j++ {
-			if tokenize.Jaccard(cols[i].values, cols[j].values) >= opts.MinJaccard {
-				union(i, j)
+	inter := make([]int32, len(cols)) // |i∩j| for the current i, by j
+	var touched []int32
+	for i, ids := range colIDs {
+		for _, id := range ids {
+			// Every earlier column has already popped itself off this
+			// posting, so its head is i and the rest are the later columns
+			// sharing the value.
+			rest := postings[id][1:]
+			postings[id] = rest
+			for _, j := range rest {
+				if inter[j] == 0 {
+					touched = append(touched, j)
+				}
+				inter[j]++
 			}
 		}
+		for _, j := range touched {
+			n := int(inter[j])
+			if float64(n)/float64(len(ids)+len(colIDs[j])-n) >= opts.MinJaccard {
+				union(i, int(j))
+			}
+			inter[j] = 0
+		}
+		touched = touched[:0]
 	}
 	// Name each cluster after its lexicographically-smallest member key so
 	// synthesis is deterministic regardless of table order quirks.

@@ -290,3 +290,41 @@ func TestCrossCheckRandomizedLakes(t *testing.T) {
 		}
 	}
 }
+
+// rowPairs extracts row-aligned (a,b) string pairs where both cells are
+// non-null: part of the string reference path the compiled engine is
+// pinned against.
+func rowPairs(t *table.Table, a, b int) [][2]string {
+	var out [][2]string
+	for _, row := range t.Rows {
+		if row[a].IsNull() || row[b].IsNull() {
+			continue
+		}
+		out = append(out, [2]string{row[a].String(), row[b].String()})
+	}
+	return out
+}
+
+// typeMatchScore scores how well candidate type ct matches query type qt,
+// walking the string hierarchy: the reference for typeMatchScoreID, which
+// queries use.
+func typeMatchScore(knowledge *kb.KB, qt, ct string) float64 {
+	if qt == ct {
+		return 1
+	}
+	w := 1.0
+	for _, anc := range knowledge.Ancestors(ct) {
+		w *= supertypeDecay
+		if anc == qt {
+			return w
+		}
+	}
+	w = 1.0
+	for _, anc := range knowledge.Ancestors(qt) {
+		w *= supertypeDecay
+		if anc == ct {
+			return w
+		}
+	}
+	return 0
+}
