@@ -118,6 +118,20 @@ type shardClient struct {
 	lat        serve.Latency
 }
 
+// newShardClients builds one client per shard address, in shard order,
+// all sharing hc. Only a malformed address errors.
+func newShardClients(addrs []string, hc *http.Client, callTimeout time.Duration, retries int, backoff time.Duration) ([]*shardClient, error) {
+	out := make([]*shardClient, len(addrs))
+	for i, addr := range addrs {
+		base, err := normalizeAddr(addr)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = &shardClient{shard: i, addr: base, hc: hc, callTimeout: callTimeout, retries: retries, backoff: backoff}
+	}
+	return out, nil
+}
+
 // errorBody mirrors serve's structured error envelope.
 type errorBody struct {
 	Error  string `json:"error"`

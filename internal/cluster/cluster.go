@@ -3,11 +3,11 @@
 // `dialite serve` processes instead of in-process *lake.Lakes. PR 9's
 // in-process lake.Sharded established everything the transport change
 // needs — name-hash routing recomputable from names alone (lake.ShardIndex),
-// self-contained shard lakes, a deterministic (score desc, name asc)
-// rank merge consuming only (table, score, column) tuples, and a mutation
-// epoch that generalizes to a per-shard vector — so the coordinator is
-// deliberately thin: it speaks serve's own JSON API to each shard and
-// reuses discovery's merge and torn-read machinery unchanged.
+// self-contained shard lakes, and a deterministic (score desc, name asc)
+// rank merge consuming only (table, score, column) tuples — so the
+// coordinator is deliberately thin: it speaks serve's own JSON API to each
+// shard, one discover call per shard per query, and reuses discovery's
+// merge and torn-read machinery unchanged.
 //
 // Equivalence: coordinator discovery answers are float64-bit-exact against
 // an in-process lake.Sharded over the same tables — JSON encodes float64
@@ -25,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/url"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -57,7 +56,7 @@ type Config struct {
 	// CallTimeout caps each shard call that carries no tighter request
 	// deadline of its own. 0 means 15s.
 	CallTimeout time.Duration
-	// ProbeTimeout caps the cheap sampling calls (epoch vectors, health,
+	// ProbeTimeout caps the cheap sampling calls (health, sizes,
 	// mutation pre-probes). 0 means 2s.
 	ProbeTimeout time.Duration
 	// Retries bounds per-call retry attempts for idempotent reads against
@@ -80,7 +79,7 @@ type Coordinator struct {
 	cfg    Config
 	shards []*shardClient
 	// epoch is the coordinator-local seqlock counter over routed
-	// mutations; Epochs prepends it to the concatenated shard vectors.
+	// mutations; Epochs reports it.
 	epoch     atomic.Uint64
 	knowledge *kb.KB
 	annotator *kb.Annotator
@@ -94,6 +93,7 @@ var (
 	_ serve.ShardHealthReporter  = (*Coordinator)(nil)
 	_ serve.ShardMetricsReporter = (*Coordinator)(nil)
 	_ serve.NameLister           = (*Coordinator)(nil)
+	_ serve.TableResolver        = (*Coordinator)(nil)
 )
 
 // New builds a coordinator over the configured shard addresses. Shards may
@@ -132,20 +132,9 @@ func New(cfg Config) (*Coordinator, error) {
 		c.knowledge = kb.New()
 	}
 	c.annotator = kb.NewAnnotator(c.knowledge.Compiled(), c.dict)
-	c.shards = make([]*shardClient, len(cfg.Addrs))
-	for i, addr := range cfg.Addrs {
-		base, err := normalizeAddr(addr)
-		if err != nil {
-			return nil, err
-		}
-		c.shards[i] = &shardClient{
-			shard:       i,
-			addr:        base,
-			hc:          hc,
-			callTimeout: cfg.CallTimeout,
-			retries:     cfg.Retries,
-			backoff:     cfg.RetryBackoff,
-		}
+	var err error
+	if c.shards, err = newShardClients(cfg.Addrs, hc, cfg.CallTimeout, cfg.Retries, cfg.RetryBackoff); err != nil {
+		return nil, err
 	}
 	c.engine = cfg.Engine
 	if err := c.resolveEngine(); err != nil {
@@ -197,38 +186,13 @@ func (c *Coordinator) NumShards() int { return len(c.shards) }
 // unkeyed FNV-1a rule every deployment shape uses.
 func (c *Coordinator) ShardFor(name string) int { return lake.ShardIndex(name, len(c.shards)) }
 
-// epochDown is the vector element substituted for an unreachable shard:
-// even (a down shard is not "mutating", and an all-even vector must remain
-// achievable so degraded reads settle) and implausible as a live counter,
-// so a shard flapping between down and up never produces two equal
-// vectors across the transition.
-const epochDown = ^uint64(0) - 1
-
 // Epochs samples the cluster's mutation-epoch vector: the coordinator's
-// local counter (routed mutations tick it) followed by each shard's own
-// vector, in shard order. Down shards contribute the epochDown sentinel,
-// so a shard dying or recovering mid-fan-out perturbs the vector and the
-// read retries, while a steadily-down shard leaves it stable (no retry
-// storm while degraded).
-func (c *Coordinator) Epochs() []uint64 {
-	per := make([][]uint64, len(c.shards))
-	par.For(len(c.shards), func(i int) {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-		defer cancel()
-		ep, err := c.shards[i].epochs(ctx)
-		if err != nil || len(ep.Epochs) == 0 {
-			per[i] = []uint64{epochDown}
-			return
-		}
-		per[i] = ep.Epochs
-	})
-	out := make([]uint64, 0, 1+2*len(c.shards))
-	out = append(out, c.epoch.Load())
-	for _, v := range per {
-		out = append(out, v...)
-	}
-	return out
-}
+// local counter alone, which every routed mutation ticks. Reads never ask
+// the shards for theirs. A tear inside one shard is already retried by
+// that shard's own RunAll, and a tear across shards needs a mutation
+// routed through this coordinator — mutations must never reach a shard
+// directly (SHARDING.md).
+func (c *Coordinator) Epochs() []uint64 { return []uint64{c.epoch.Load()} }
 
 func (c *Coordinator) beginMutation() { c.epoch.Add(1) }
 func (c *Coordinator) endMutation()   { c.epoch.Add(1) }
@@ -242,21 +206,13 @@ func (c *Coordinator) callCtx() (context.Context, context.CancelFunc) {
 
 // Get fetches a table from the shard its name routes to. Any failure —
 // including the shard being down — reports the table as absent; callers
-// needing the distinction use the serving layer, where a down shard
-// surfaces as 503 on the operations that touch it.
+// needing the distinction use ResolveTables, as the serving layer does.
 func (c *Coordinator) Get(name string) (*table.Table, bool) {
 	ctx, cancel := c.callCtx()
 	defer cancel()
-	var out serve.LakeTableResponse
-	sc := c.shards[c.ShardFor(name)]
-	if err := sc.doIdempotent(ctx, "table", http.MethodGet, "/v1/lake/table?name="+url.QueryEscape(name), nil, &out); err != nil {
-		return nil, false
-	}
-	t, err := out.Table.DecodeTable()
-	if err != nil {
-		return nil, false
-	}
-	return t, true
+	m, err := c.ResolveTables(ctx, []string{name})
+	t := m[name]
+	return t, err == nil && t != nil
 }
 
 // TableNames enumerates the catalog's table names: shard 0..N-1, each in
@@ -507,44 +463,49 @@ func (c *Coordinator) SketchEngine() sketch.Engine { return c.engine }
 // its default of 10, which is not "all".
 const unboundedK = 1 << 30
 
-// DiscoverShard runs one discoverer on one shard over the wire — the
-// remote analogue of one (discoverer, shard) work item in the in-process
-// fan-out. The shard executes the method by name against its own lake and
-// returns (name, score, column) tuples; tables come back as name-only
-// stubs for discovery.RunAll to materialize after the merge. Scores cross
+// RunShard runs every discoverer on one shard in one round trip: the shard
+// executes the methods by name against its own lake, and their
+// (name, score, column) tuples come back slot-indexed with name-only stub
+// tables for discovery.RunAll to materialize after the merge. Scores cross
 // the wire bit-exactly (shortest-round-trip float64 JSON).
-func (c *Coordinator) DiscoverShard(ctx context.Context, shard int, d discovery.Discoverer, q *table.Table, queryCol, k int) ([]discovery.Result, error) {
-	kk := k
-	if kk <= 0 {
-		kk = unboundedK
+func (c *Coordinator) RunShard(ctx context.Context, shard int, ds []discovery.Discoverer, q *table.Table, queryCol, k int) ([][]discovery.Result, error) {
+	if k <= 0 {
+		k = unboundedK
 	}
-	method := d.Name()
-	resp, err := c.shards[shard].discover(ctx, serve.DiscoverRequest{
-		Query:       serve.EncodeTable(q),
-		QueryColumn: queryCol,
-		Methods:     []string{method},
-		K:           kk,
-	})
+	methods := make([]string, len(ds))
+	for i, d := range ds {
+		methods[i] = d.Name()
+	}
+	resp, err := c.shards[shard].discover(ctx, serve.DiscoverRequest{Query: serve.EncodeTable(q), QueryColumn: queryCol, Methods: methods, K: k})
 	if err != nil {
 		return nil, err
 	}
-	wire := resp.PerMethod[method]
-	out := make([]discovery.Result, 0, len(wire))
-	for _, r := range wire {
-		out = append(out, discovery.Result{
-			Table:  table.New(r.Table),
-			Score:  r.Score,
-			Method: method,
-			Column: r.Column,
-		})
+	out := make([][]discovery.Result, len(methods))
+	for i, method := range methods {
+		wire := resp.PerMethod[method]
+		out[i] = make([]discovery.Result, len(wire))
+		for j, r := range wire {
+			out[i][j] = discovery.Result{Table: table.New(r.Table), Score: r.Score, Method: method, Column: r.Column}
+		}
 	}
 	return out, nil
 }
 
-// ResolveTables materializes a merged ranking: names group by their owning
-// shard and fetch in one batch per shard. Shards that became unreachable
-// after answering the discover calls simply drop their names from the map
-// (the ranking entries keep their stubs); only malformed responses error.
+// DiscoverShard runs one discoverer on one shard over the wire — RunShard
+// with a single discoverer.
+func (c *Coordinator) DiscoverShard(ctx context.Context, shard int, d discovery.Discoverer, q *table.Table, queryCol, k int) ([]discovery.Result, error) {
+	out, err := c.RunShard(ctx, shard, []discovery.Discoverer{d}, q, queryCol, k)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// ResolveTables fetches the named tables, grouped by their owning shard
+// into one batch per shard. Names the shards do not hold are absent from
+// the map. Any failed batch fails the call: a shard that is unreachable
+// yields a *ShardError matching discovery.ErrShardUnavailable, so callers
+// can report it instead of silently missing its tables.
 func (c *Coordinator) ResolveTables(ctx context.Context, names []string) (map[string]*table.Table, error) {
 	perShard := make([][]string, len(c.shards))
 	for _, n := range names {
@@ -558,9 +519,6 @@ func (c *Coordinator) ResolveTables(ctx context.Context, names []string) (map[st
 		i := involved[j]
 		resp, err := c.shards[i].getTables(ctx, perShard[i])
 		if err != nil {
-			if isUnavailable(err) {
-				return // stubs stay; the epoch resample decides if it matters
-			}
 			errs[j] = err
 			return
 		}
@@ -587,28 +545,10 @@ func (c *Coordinator) ResolveTables(ctx context.Context, names []string) (map[st
 	return out, nil
 }
 
-// ShardHealth probes every shard's /healthz (and epoch endpoint, for the
-// size) concurrently — the coordinator /healthz aggregation.
+// ShardHealth probes every shard's health and size concurrently — the
+// coordinator /healthz aggregation.
 func (c *Coordinator) ShardHealth(ctx context.Context) []serve.ShardHealth {
-	out := make([]serve.ShardHealth, len(c.shards))
-	par.For(len(c.shards), func(i int) {
-		sh := serve.ShardHealth{Shard: i, Addr: c.shards[i].addr}
-		pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
-		defer cancel()
-		h, err := c.shards[i].health(pctx)
-		if err != nil {
-			sh.Status = "down"
-			sh.Error = err.Error()
-			out[i] = sh
-			return
-		}
-		sh.Status = h.Status
-		if ep, err := c.shards[i].epochs(pctx); err == nil {
-			sh.Size = ep.Size
-		}
-		out[i] = sh
-	})
-	return out
+	return probeAll(ctx, c.shards, c.cfg.ProbeTimeout)
 }
 
 // ShardMetrics snapshots the per-shard fan-out transport counters — the
@@ -659,21 +599,23 @@ func ProbeShards(ctx context.Context, addrs []string, timeout time.Duration) ([]
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	hc := &http.Client{}
-	clients := make([]*shardClient, len(addrs))
-	for i, addr := range addrs {
-		base, err := normalizeAddr(addr)
-		if err != nil {
-			return nil, err
-		}
-		clients[i] = &shardClient{shard: i, addr: base, hc: hc, callTimeout: timeout}
+	clients, err := newShardClients(addrs, &http.Client{}, timeout, 0, 0)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]serve.ShardHealth, len(clients))
-	par.For(len(clients), func(i int) {
-		sh := serve.ShardHealth{Shard: i, Addr: clients[i].addr}
+	return probeAll(ctx, clients, timeout), nil
+}
+
+// probeAll probes each shard's /healthz and, when it answers, its size
+// from the epoch endpoint, concurrently and each under its own timeout.
+// Unreachable shards report Status "down" with the error.
+func probeAll(ctx context.Context, shards []*shardClient, timeout time.Duration) []serve.ShardHealth {
+	out := make([]serve.ShardHealth, len(shards))
+	par.For(len(shards), func(i int) {
+		sh := serve.ShardHealth{Shard: i, Addr: shards[i].addr}
 		pctx, cancel := context.WithTimeout(ctx, timeout)
 		defer cancel()
-		h, err := clients[i].health(pctx)
+		h, err := shards[i].health(pctx)
 		if err != nil {
 			sh.Status = "down"
 			sh.Error = err.Error()
@@ -681,12 +623,12 @@ func ProbeShards(ctx context.Context, addrs []string, timeout time.Duration) ([]
 			return
 		}
 		sh.Status = h.Status
-		if ep, err := clients[i].epochs(pctx); err == nil {
+		if ep, err := shards[i].epochs(pctx); err == nil {
 			sh.Size = ep.Size
 		}
 		out[i] = sh
 	})
-	return out, nil
+	return out
 }
 
 // involvedShards lists the shard indices with non-empty slices, ascending.
@@ -709,10 +651,4 @@ func firstErr(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// isUnavailable reports whether err means "shard cannot answer right now".
-func isUnavailable(err error) bool {
-	se, ok := err.(*ShardError)
-	return ok && se.Is(discovery.ErrShardUnavailable)
 }

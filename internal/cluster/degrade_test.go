@@ -260,7 +260,7 @@ func coordClient(c *cluster.Coordinator) {
 
 // TestClusterRestartWithoutTraffic is the minimal lifecycle check the big
 // test above subsumes, kept separate for fast failure triage: kill, verify
-// partial + sentinel stability, restart, verify full.
+// partial, restart, verify full.
 func TestClusterRestartWithoutTraffic(t *testing.T) {
 	pool := diffPool(66, 6)
 	const n = 2

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/lake"
@@ -12,13 +13,10 @@ import (
 )
 
 // Target is what a discovery run executes against: a set of shards plus the
-// seqlock epoch vector that guards multi-index reads. *lake.Lake (its own
-// single shard), *lake.Sharded, and the lake.Catalog interface the pipeline
-// holds all satisfy it, as does a cluster coordinator whose shards are
-// remote processes. How the shards are reached is the target's second
-// interface: in-process targets expose `Shards() []*lake.Lake` and
-// discoverers run directly against each shard; remote targets implement
-// Remote and the fan-out goes through its per-shard transport.
+// seqlock epoch vector that guards multi-index reads. In-process targets
+// (*lake.Lake as its own single shard, *lake.Sharded, the pipeline's
+// lake.Catalog) also expose `Shards() []*lake.Lake`, and discoverers run
+// directly against each shard; remote targets implement Remote.
 type Target interface {
 	// Epochs samples the target's mutation-epoch vector — see
 	// lake.Catalog.Epochs for the seqlock protocol. A clean run samples
@@ -33,23 +31,22 @@ type localTarget interface {
 }
 
 // Remote extends Target for shard sets reached over a transport (the
-// cluster coordinator's HTTP shards). The fan-out calls DiscoverShard once
-// per discoverer×shard work item; implementations run the named method on
-// the remote shard and return its ranked results, whose Table pointers may
-// be name-only stubs. After the merge, RunAll materializes the surviving
-// top-k through one ResolveTables batch.
+// cluster coordinator's HTTP shards): one RunShard call per shard carries
+// every discoverer, and the merged top-k's name-only stub tables are
+// materialized with one ResolveTables call per shard.
 type Remote interface {
 	Target
 	// NumShards reports the shard count (fixed for the target's lifetime).
 	NumShards() int
-	// DiscoverShard runs one discoverer on one shard. An error wrapping
-	// ErrShardUnavailable marks the shard down/degraded — tolerated by
-	// RunAllPartial; any other error is a hard failure.
-	DiscoverShard(ctx context.Context, shard int, d Discoverer, q *table.Table, queryCol, k int) ([]Result, error)
-	// ResolveTables fetches the named tables. Names it cannot resolve —
-	// removed mid-run, or their shard became unreachable after answering
-	// the discover call — are simply absent from the map; implementations
-	// return an error only for malformed responses.
+	// RunShard runs every discoverer on one shard and returns their
+	// rankings slot-indexed: out[i] is ds[i]'s ranking on that shard. An
+	// error wrapping ErrShardUnavailable marks the shard down or degraded
+	// — tolerated by RunAllPartial; any other error is a hard failure.
+	RunShard(ctx context.Context, shard int, ds []Discoverer, q *table.Table, queryCol, k int) ([][]Result, error)
+	// ResolveTables fetches the named tables. Names that no longer exist
+	// (removed mid-run) are absent from the map. An unreachable shard is an
+	// error wrapping ErrShardUnavailable, which the fan-out treats like a
+	// failed RunShard on that shard.
 	ResolveTables(ctx context.Context, names []string) (map[string]*table.Table, error)
 }
 
@@ -110,7 +107,9 @@ func epochsClean(e1, e2 []uint64) bool {
 // hooks (Fig. 4), which must be safe to call concurrently — run without
 // coordination across the discoverer×shard fan-out. If any discoverer
 // fails, the first error in (discoverer, shard) slot order is returned
-// (deterministic regardless of which worker finished first).
+// (deterministic regardless of which worker finished first); a remote
+// shard's single call answers for all of its slots, so its failure takes
+// the shard's first slot.
 //
 // Torn-read protection: a discovery run concurrent with Add/Remove could
 // otherwise observe the lake between per-index updates (a table visible to
@@ -119,7 +118,9 @@ func epochsClean(e1, e2 []uint64) bool {
 // mutation-epoch vector before and after the fan-out; any mutation
 // overlapping the run perturbs some element (a mutation applied directly to
 // one shard perturbs that shard's element even when the composite counter
-// never moves), and RunAll re-executes once. See lake.(*Lake).Epoch.
+// never moves), and RunAll re-executes once. A remote target's vector is
+// its local counter over the mutations it routes; each shard process
+// guards its own run. See lake.(*Lake).Epoch.
 //
 // Cancellation propagates to every worker: ctx flows into each discoverer
 // (the built-ins check it inside their index scans) and the fan-out itself
@@ -131,11 +132,11 @@ func RunAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds [
 	return out, err
 }
 
-// RunAllPartial is RunAll with graceful degradation: slots whose error
-// wraps ErrShardUnavailable — a remote shard down, shedding, or degraded —
-// contribute empty rankings instead of failing the run, and the down shards
-// are reported as ShardErrors (deduplicated per shard, ascending shard
-// order). A non-empty ShardError list is the "partial" marker the serving
+// RunAllPartial is RunAll with graceful degradation: a shard whose discover
+// or table-resolve error wraps ErrShardUnavailable — a remote shard down or
+// degraded — contributes empty rankings instead of failing the run, and the
+// down shards are reported as ShardErrors (deduplicated per shard,
+// ascending shard order). A non-empty ShardError list is the "partial" marker the serving
 // layer surfaces to clients: the rankings are complete over the reachable
 // shards only. Any error not wrapping ErrShardUnavailable still fails the
 // whole run, exactly as in RunAll.
@@ -144,75 +145,63 @@ func RunAllPartial(ctx context.Context, t Target, q *table.Table, queryCol, k in
 }
 
 // runAll is the shared epoch-guarded driver: sample the epoch vector, run
-// one fan-out (local or remote, tolerant or strict), resample, and retry
-// once on a perturbed pair.
+// one fan-out (tolerant or strict), resample, and retry once on a perturbed
+// pair.
 func runAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds []Discoverer, tolerate bool) ([][]Result, []ShardError, error) {
 	for attempt := 0; ; attempt++ {
 		e1 := t.Epochs()
-		var (
-			out   [][]Result
-			serrs []ShardError
-			err   error
-		)
-		switch tt := t.(type) {
-		case localTarget:
-			out, serrs, err = runShards(ctx, tt.Shards(), q, queryCol, k, ds, tolerate)
-		case Remote:
-			out, serrs, err = runRemote(ctx, tt, q, queryCol, k, ds, tolerate)
-		default:
-			return nil, nil, fmt.Errorf("discovery: target %T exposes neither in-process shards nor a remote transport", t)
-		}
+		out, serrs, err := fanOut(ctx, t, q, queryCol, k, ds, tolerate)
 		if err != nil {
 			return nil, nil, err
 		}
 		// A clean run sampled the same all-even epoch vector on both sides:
 		// no mutation was in flight anywhere when it started and none
-		// started before it finished. A down shard's sentinel element is
-		// even and stable while it stays down, so degraded targets do not
-		// retry-storm.
+		// started before it finished.
 		if epochsClean(e1, t.Epochs()) || attempt == tornRetries {
 			return out, serrs, nil
 		}
 	}
 }
 
-// collectSlots applies the tolerance policy to one fan-out's slot errors:
-// hard errors surface first-in-slot-order; tolerated slots (wrapping
-// ErrShardUnavailable, when tolerate is set) are cleared to empty rankings
-// and recorded once per shard.
-func collectSlots(per [][]Result, errs []error, ns int, tolerate bool) ([][]Result, []ShardError, error) {
-	var serrs []ShardError
-	down := make(map[int]error, ns)
-	for j, err := range errs {
-		if err == nil {
-			continue
+// fanOut is one epoch-unguarded execution of the discoverer×shard fan-out.
+// Every target shares one slot layout — slot i*ns+s holds discoverer i's
+// ranking on shard s, so error precedence and merge inputs are
+// deterministic. In-process targets get one work item per slot. A remote
+// target gets one work item per shard: a single RunShard call fills the
+// shard's slots and reports a failure in the shard's first slot; its
+// merged rankings are then materialized by resolve.
+func fanOut(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds []Discoverer, tolerate bool) ([][]Result, []ShardError, error) {
+	nd := len(ds)
+	var (
+		ns, items int
+		per       [][]Result
+		errs      []error
+		work      func(j int)
+		remote    Remote
+	)
+	switch tt := t.(type) {
+	case localTarget:
+		shards := tt.Shards()
+		ns, items = len(shards), nd*len(shards)
+		work = func(j int) { per[j], errs[j] = ds[j/ns].Discover(ctx, shards[j%ns], q, queryCol, k) }
+	case Remote:
+		remote, ns = tt, tt.NumShards()
+		if nd > 0 {
+			items = ns
 		}
-		if tolerate && errors.Is(err, ErrShardUnavailable) {
-			if _, seen := down[j%ns]; !seen {
-				down[j%ns] = err
+		work = func(s int) {
+			var rs [][]Result
+			rs, errs[s] = tt.RunShard(ctx, s, ds, q, queryCol, k)
+			for i, r := range rs {
+				per[i*ns+s] = r
 			}
-			per[j] = nil
-			continue
 		}
-		return nil, nil, err
+	default:
+		return nil, nil, fmt.Errorf("discovery: target %T exposes neither in-process shards nor a remote transport", t)
 	}
-	for shard := 0; shard < ns; shard++ {
-		if err, ok := down[shard]; ok {
-			serrs = append(serrs, ShardError{Shard: shard, Err: err})
-		}
-	}
-	return per, serrs, nil
-}
-
-// runShards is one epoch-unguarded execution of the in-process
-// discoverer×shard fan-out. Work item j covers discoverer j/len(shards) on
-// shard j%len(shards), so error precedence and result slots stay
-// deterministic.
-func runShards(ctx context.Context, shards []*lake.Lake, q *table.Table, queryCol, k int, ds []Discoverer, tolerate bool) ([][]Result, []ShardError, error) {
-	nd, ns := len(ds), len(shards)
-	per := make([][]Result, nd*ns)
-	errs := make([]error, nd*ns)
-	ferr := par.ForCtx(ctx, nd*ns, func(j int) {
+	per = make([][]Result, nd*ns)
+	errs = make([]error, nd*ns)
+	ferr := par.ForCtx(ctx, items, func(j int) {
 		// Discoverers ran on the caller's goroutine before the fan-out, where
 		// a server could recover a misbehaving user hook; on a worker
 		// goroutine a panic would kill the process, so contain it here and
@@ -222,85 +211,125 @@ func runShards(ctx context.Context, shards []*lake.Lake, q *table.Table, queryCo
 				errs[j] = fmt.Errorf("discovery: %q panicked: %v", ds[j/ns].Name(), r)
 			}
 		}()
-		per[j], errs[j] = ds[j/ns].Discover(ctx, shards[j%ns], q, queryCol, k)
+		work(j)
 	})
 	if ferr != nil {
 		return nil, nil, ferr
 	}
-	per, serrs, err := collectSlots(per, errs, ns, tolerate)
+	serrs, err := collectSlots(per, errs, ns, tolerate)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([][]Result, nd)
-	if ns == 1 && len(serrs) == 0 {
-		copy(out, per)
-		return out, serrs, nil
+	if remote == nil {
+		return mergeSlots(per, nd, ns, k, len(serrs) > 0), serrs, nil
 	}
-	for i := 0; i < nd; i++ {
-		out[i] = mergeShardRankings(per[i*ns:(i+1)*ns], k)
-	}
-	return out, serrs, nil
+	return resolve(ctx, remote, per, serrs, nd, ns, k, tolerate)
 }
 
-// runRemote is one epoch-unguarded execution of the discoverer×shard
-// fan-out over a remote target: the same slot layout and error precedence
-// as runShards, but each work item is one DiscoverShard transport call, and
-// the merged top-k is materialized through one ResolveTables batch (remote
-// results arrive as name-only stubs; fetching every shard's full candidate
-// lists would defeat the truncation).
-func runRemote(ctx context.Context, t Remote, q *table.Table, queryCol, k int, ds []Discoverer, tolerate bool) ([][]Result, []ShardError, error) {
-	nd, ns := len(ds), t.NumShards()
-	per := make([][]Result, nd*ns)
-	errs := make([]error, nd*ns)
-	ferr := par.ForCtx(ctx, nd*ns, func(j int) {
-		defer func() {
-			if r := recover(); r != nil {
-				errs[j] = fmt.Errorf("discovery: %q panicked: %v", ds[j/ns].Name(), r)
+// collectSlots applies the tolerance policy to one fan-out's slot errors:
+// hard errors surface first-in-slot-order; when tolerate is set, a slot
+// error wrapping ErrShardUnavailable marks its shard down, clears all of
+// that shard's slots, and is recorded once per shard in shard order.
+func collectSlots(per [][]Result, errs []error, ns int, tolerate bool) ([]ShardError, error) {
+	down := make(map[int]error, ns)
+	for j, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !tolerate || !errors.Is(err, ErrShardUnavailable) {
+			return nil, err
+		}
+		if _, seen := down[j%ns]; !seen {
+			down[j%ns] = err
+		}
+	}
+	var serrs []ShardError
+	for shard := 0; shard < ns; shard++ {
+		if err, ok := down[shard]; ok {
+			serrs = append(serrs, ShardError{Shard: shard, Err: err})
+			for j := shard; j < len(per); j += ns {
+				per[j] = nil
 			}
-		}()
-		per[j], errs[j] = t.DiscoverShard(ctx, j%ns, ds[j/ns], q, queryCol, k)
-	})
-	if ferr != nil {
-		return nil, nil, ferr
+		}
 	}
-	per, serrs, err := collectSlots(per, errs, ns, tolerate)
-	if err != nil {
-		return nil, nil, err
-	}
+	return serrs, nil
+}
+
+// mergeSlots merges each discoverer's per-shard rankings. A single
+// complete shard's rankings pass through untouched.
+func mergeSlots(per [][]Result, nd, ns, k int, partial bool) [][]Result {
 	out := make([][]Result, nd)
-	for i := 0; i < nd; i++ {
+	if ns == 1 && !partial {
+		copy(out, per)
+		return out
+	}
+	for i := range out {
 		out[i] = mergeShardRankings(per[i*ns:(i+1)*ns], k)
 	}
-	// Materialize the survivors: one batch fetch of every distinct name in
-	// the merged rankings. A name that resolves to nothing (removed mid-run,
-	// or its shard died after answering) keeps its stub — the ranking entry
-	// stays correct by (name, score), and Discover excludes column-less
-	// stubs from the integration set.
-	names := make([]string, 0, nd*k)
-	seen := make(map[string]bool)
-	for _, rs := range out {
+	return out
+}
+
+// resolve materializes a remote run's merged top-k, which arrives as
+// name-only stubs: each shard gets one ResolveTables call for its names
+// that made the cut (fetching full candidate lists would defeat the
+// truncation). A failed call goes through collectSlots like a failed
+// RunShard. A shard dropped that way leaves the merge, which reruns so
+// live shards' results below the cut move up and are resolved in turn;
+// every round drops a shard, so the loop ends. A name that resolves to
+// nothing (removed mid-run) keeps its stub — the entry stays correct by
+// (name, score), and Discover excludes column-less stubs from the
+// integration set.
+func resolve(ctx context.Context, t Remote, per [][]Result, serrs []ShardError, nd, ns, k int, tolerate bool) ([][]Result, []ShardError, error) {
+	owner := make(map[string]int)
+	for j, rs := range per {
 		for _, r := range rs {
-			if !seen[r.Table.Name] {
-				seen[r.Table.Name] = true
-				names = append(names, r.Table.Name)
-			}
+			owner[r.Table.Name] = j % ns
 		}
 	}
-	if len(names) == 0 {
+	resolved := make(map[string]*table.Table) // nil: asked, not found
+	for {
+		out := mergeSlots(per, nd, ns, k, len(serrs) > 0)
+		names := make([][]string, ns)
+		for _, rs := range out {
+			for _, r := range rs {
+				if _, asked := resolved[r.Table.Name]; !asked {
+					resolved[r.Table.Name] = nil
+					s := owner[r.Table.Name]
+					names[s] = append(names[s], r.Table.Name)
+				}
+			}
+		}
+		got := make([]map[string]*table.Table, ns)
+		errs := make([]error, nd*ns)
+		ferr := par.ForCtx(ctx, ns, func(s int) {
+			if len(names[s]) > 0 {
+				got[s], errs[s] = t.ResolveTables(ctx, names[s])
+			}
+		})
+		if ferr != nil {
+			return nil, nil, ferr
+		}
+		down, err := collectSlots(per, errs, ns, tolerate)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, m := range got {
+			maps.Copy(resolved, m)
+		}
+		if len(down) > 0 {
+			serrs = append(serrs, down...)
+			sort.Slice(serrs, func(a, b int) bool { return serrs[a].Shard < serrs[b].Shard })
+			continue
+		}
+		for _, rs := range out {
+			for i := range rs {
+				if tbl := resolved[rs[i].Table.Name]; tbl != nil {
+					rs[i].Table = tbl
+				}
+			}
+		}
 		return out, serrs, nil
 	}
-	resolved, err := t.ResolveTables(ctx, names)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, rs := range out {
-		for i := range rs {
-			if tbl, ok := resolved[rs[i].Table.Name]; ok {
-				rs[i].Table = tbl
-			}
-		}
-	}
-	return out, serrs, nil
 }
 
 // mergeShardRankings concatenates one discoverer's per-shard rankings and

@@ -23,15 +23,13 @@ import (
 type Catalog interface {
 	// Epochs samples the catalog's mutation-epoch vector: one seqlock
 	// counter per epoch domain (a plain Lake has one; Sharded has a
-	// composite counter plus one per shard; a remote coordinator has a
-	// local counter plus each shard process's vector). Every element is
-	// even when that domain is settled and odd while a mutation is applying
-	// per-index deltas. A multi-index reader that samples the vector before
-	// and after a run and sees the same all-even vector (same length,
-	// elementwise equal) is guaranteed the run was not torn; any other pair
-	// means a retry. Implementations whose sampling can fail (a remote
-	// shard down) must substitute a stable even sentinel for the
-	// unreachable domain rather than erroring.
+	// composite counter plus one per shard; a remote coordinator has only
+	// its local counter over routed mutations, since each shard process
+	// guards its own reads). Every element is even when that domain is
+	// settled and odd while a mutation is applying per-index deltas. A
+	// multi-index reader that samples the vector before and after a run and
+	// sees the same all-even vector (same length, elementwise equal) is
+	// guaranteed the run was not torn; any other pair means a retry.
 	Epochs() []uint64
 
 	// Catalog access.

@@ -125,9 +125,8 @@ func (l *Lake) Epoch() uint64 { return l.epoch.Load() }
 // Epochs returns the lake's mutation-epoch vector — a single element for a
 // plain Lake. The vector form is what discovery's torn-read guard samples:
 // it generalizes to composites (lake.Sharded prepends a composite counter to
-// its shards' epochs) and to shard-per-process deployments, where each
-// remote shard contributes its own counter. A clean multi-index read samples
-// the same all-even vector before and after the run.
+// its shards' epochs). A clean multi-index read samples the same all-even
+// vector before and after the run.
 func (l *Lake) Epochs() []uint64 { return []uint64{l.epoch.Load()} }
 
 // Shards returns the lake's shard list. A plain Lake is its own single

@@ -7,20 +7,21 @@ import (
 	"time"
 
 	"repro/internal/persist"
+	"repro/internal/table"
 )
 
 // This file is the serving layer's cluster surface: the shard-side
-// endpoints a coordinator scatters over (epoch sampling, table fetch,
-// compaction) and the coordinator-side aggregation interfaces (/healthz
+// endpoints a coordinator scatters over (size and liveness probes, table
+// fetch, compaction) and the coordinator-side aggregation interfaces (/healthz
 // and /metrics reporting per-shard state). The cluster package implements
 // the interfaces; serve only type-asserts them on the attached catalog, so
 // serve never imports cluster (cluster imports serve for the wire types).
 
 // EpochResponse is the GET /v1/lake/epoch body: the catalog's mutation-
 // epoch vector (lake.Catalog.Epochs) plus its current size. The endpoint
-// bypasses admission control like /healthz — a coordinator samples it
-// before and after every discovery fan-out, and queueing the sample behind
-// saturated compute traffic would turn every cluster read into a shed.
+// bypasses admission control like /healthz — a coordinator probes it for
+// shard sizes and before every routed mutation, and queueing the probe
+// behind saturated compute traffic would turn those into sheds.
 type EpochResponse struct {
 	Epochs []uint64 `json:"epochs"`
 	Size   int      `json:"size"`
@@ -165,6 +166,15 @@ type ShardMetricsReporter interface {
 // otherwise fetch the full catalog over the wire to answer GET /v1/lake).
 type NameLister interface {
 	TableNames(ctx context.Context) ([]string, error)
+}
+
+// TableResolver is implemented by catalogs that fetch named tables in
+// batches under the request's context (a cluster coordinator: one batch
+// per shard). Integrate-by-names uses it so a down shard surfaces as its
+// own error rather than as a missing table. Names the catalog does not
+// hold are absent from the map.
+type TableResolver interface {
+	ResolveTables(ctx context.Context, names []string) (map[string]*table.Table, error)
 }
 
 // Latency is an exported handle on the serving layer's log2-bucketed

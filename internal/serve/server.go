@@ -145,9 +145,9 @@ func NewWarming(cfg Config) *Server {
 	}
 	// /healthz, /metrics and /v1/lake/epoch bypass admission and metering:
 	// the first two must answer exactly when the serving path is saturated
-	// or refusing, and the epoch endpoint is the coordinator's torn-read
-	// sample — queueing it behind saturated compute traffic would shed
-	// every cluster read.
+	// or refusing, and the epoch endpoint is the coordinator's size and
+	// pre-mutation probe — queueing it behind saturated compute traffic
+	// would shed every routed mutation.
 	s.mux.HandleFunc("GET /healthz", s.healthz)
 	s.mux.HandleFunc("GET /metrics", s.metricsHandler)
 	s.mux.HandleFunc("GET /v1/lake/epoch", s.lakeEpoch)
@@ -572,10 +572,22 @@ type IntegrateResponse struct {
 }
 
 // integrationSet resolves an IntegrateRequest's table list.
-func (s *Server) integrationSet(req IntegrateRequest) ([]*table.Table, error) {
+func (s *Server) integrationSet(ctx context.Context, req IntegrateRequest) ([]*table.Table, error) {
 	set := make([]*table.Table, 0, len(req.Names)+len(req.Tables))
+	l := s.p().Lake()
+	get := l.Get
+	if tr, ok := l.(TableResolver); ok {
+		tables, err := tr.ResolveTables(ctx, req.Names)
+		if err != nil {
+			return nil, err
+		}
+		get = func(name string) (*table.Table, bool) {
+			t, ok := tables[name]
+			return t, ok
+		}
+	}
 	for _, name := range req.Names {
-		t, ok := s.p().Lake().Get(name)
+		t, ok := get(name)
 		if !ok {
 			return nil, fmt.Errorf("no table %q in lake", name)
 		}
@@ -599,7 +611,7 @@ func (s *Server) integrate(ctx context.Context, r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	set, err := s.integrationSet(req)
+	set, err := s.integrationSet(ctx, req)
 	if err != nil {
 		return nil, err
 	}
