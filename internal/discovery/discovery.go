@@ -11,7 +11,8 @@ package discovery
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/josie"
 	"repro/internal/lake"
@@ -19,17 +20,18 @@ import (
 	"repro/internal/table"
 )
 
-// queryColumnDomain resolves the query column's value set for the joinable
-// discoverers. When the query table is the lake's own table (pointer
-// identity — a renamed or modified copy never matches), the lake's cached
-// domain is returned with its precomputed token IDs and MinHash
-// fingerprints, skipping per-query re-extraction and re-hashing entirely;
-// otherwise the domain is extracted with the same normalization the lake
-// indexes use (lake.QueryDomain, which also validates the column range —
-// an out-of-range column never hits the cache, so it always reaches that
-// check).
+// queryColumnDomain resolves the query column's value set for the
+// discoverers that probe token indexes. When the query is one of the
+// lake's tables — the lake's own *table.Table, or a same-named copy whose
+// query column holds the same cells (table.Table.SameColumn), such as a
+// lake table decoded from a request body — the lake's cached domain is returned with its precomputed
+// token IDs and MinHash fingerprints, skipping per-query re-extraction and
+// re-hashing entirely; otherwise the domain is extracted with the same
+// normalization the lake indexes use (lake.QueryDomain, which also
+// validates the column range — an out-of-range column never hits the
+// cache, so it always reaches that check).
 func queryColumnDomain(l *lake.Lake, q *table.Table, queryCol int) (*lshensemble.Domain, []string, error) {
-	if lt, ok := l.Get(q.Name); ok && lt == q {
+	if lt, ok := l.Get(q.Name); ok && (lt == q || lt.SameColumn(q, queryCol)) {
 		if d := l.DomainFor(q.Name, queryCol); d != nil {
 			return d, nil, nil
 		}
@@ -103,12 +105,12 @@ func (d LSHJoin) Discover(ctx context.Context, l *lake.Lake, q *table.Table, que
 	if err != nil {
 		return nil, fmt.Errorf("discovery: lsh-join: %w", err)
 	}
-	var hits []lshensemble.Result
-	if cached != nil {
-		hits, err = l.Join().QueryDomainCtx(ctx, cached, th, 0)
-	} else {
-		hits, err = l.Join().QueryCtx(ctx, domain, th, 0)
+	if cached == nil {
+		// domain is already normalized and deduplicated: probe it as an
+		// uncached domain rather than normalizing it a second time.
+		cached = &lshensemble.Domain{Values: domain}
 	}
+	hits, err := l.Join().QueryDomainCtx(ctx, cached, th, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -161,8 +163,18 @@ func (JosieJoin) Discover(ctx context.Context, l *lake.Lake, q *table.Table, que
 
 // SyntacticUnion is the unionability baseline (Nargesian et al. style):
 // every query column is matched to its best lake column by token Jaccard,
-// and the table scores the average best match. It ignores semantics — the
-// X4 experiment contrasts it with SANTOS.
+// and the table scores the average best match over the query's non-empty
+// columns. It ignores semantics — the X4 experiment contrasts it with
+// SANTOS.
+//
+// Jaccard runs on JOSIE's integer postings, which index exactly the lake's
+// column domains: one posting merge per query column yields |q∩d| for
+// every lake column sharing a token with it, and the similarity is
+// inter/(|q|+|d|−inter). Query tokens the lake never interned count toward
+// |q| but match nothing; lake columns sharing no token score 0 and are
+// never visited. Per-table maxima accumulate in query-column order, so
+// scores are bit-identical to the string-set scan over every lake column
+// (kept as the reference in crosscheck_test.go).
 type SyntacticUnion struct{}
 
 // Name implements Discoverer.
@@ -173,44 +185,73 @@ func (SyntacticUnion) Discover(ctx context.Context, l *lake.Lake, q *table.Table
 	if q.NumCols() == 0 {
 		return nil, fmt.Errorf("discovery: syntactic-union: query table %q has no columns", q.Name)
 	}
-	qdoms := make([][]string, q.NumCols())
+	tokens, ix := l.Tokens(), l.Josie()
+	// Per-table accumulators, slot-indexed by first appearance: totals sums
+	// the per-column best similarities, colBest holds the current query
+	// column's best (0 = no hit yet: every hit scores > 0).
+	slot := make(map[string]int)
+	var names []string
+	var totals, colBest []float64
+	var touched []int
+	counted := 0
+	var buf []uint32
 	for c := 0; c < q.NumCols(); c++ {
-		qdoms[c], _ = lake.QueryDomain(q, c)
-	}
-	// Index lake domains per table.
-	perTable := make(map[string][][]string)
-	for _, d := range l.Domains() {
-		perTable[d.Table] = append(perTable[d.Table], d.Values)
-	}
-	best := make(map[string]Result)
-	for name, doms := range perTable {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		cached, qd, err := queryColumnDomain(l, q, c)
+		if err != nil {
+			return nil, fmt.Errorf("discovery: syntactic-union: %w", err)
+		}
+		ids := buf[:0]
+		if cached != nil {
+			ids = cached.IDs
+		} else {
+			for _, v := range qd {
+				ids = append(ids, tokens.Lookup(v))
+			}
+			buf = ids
+		}
+		if len(ids) == 0 {
+			continue
+		}
+		counted++
+		hits, err := ix.TopKIDsCtx(ctx, ids, 0)
+		if err != nil {
+			return nil, err
+		}
+		for _, h := range hits {
+			i, ok := slot[h.Set.Table]
+			if !ok {
+				i = len(names)
+				slot[h.Set.Table] = i
+				names = append(names, h.Set.Table)
+				totals = append(totals, 0)
+				colBest = append(colBest, 0)
+			}
+			if colBest[i] == 0 {
+				touched = append(touched, i)
+			}
+			inter := h.Overlap
+			if s := float64(inter) / float64(len(ids)+len(h.Set.IDs)-inter); s > colBest[i] {
+				colBest[i] = s
+			}
+		}
+		for _, i := range touched {
+			totals[i] += colBest[i]
+			colBest[i] = 0
+		}
+		touched = touched[:0]
+	}
+	out := make([]Result, 0, len(names))
+	for i, name := range names {
 		t, ok := l.Get(name)
 		if !ok || name == q.Name {
 			continue
 		}
-		total, counted := 0.0, 0
-		for _, qd := range qdoms {
-			if len(qd) == 0 {
-				continue
-			}
-			counted++
-			bestSim := 0.0
-			for _, ld := range doms {
-				if s := jaccard(qd, ld); s > bestSim {
-					bestSim = s
-				}
-			}
-			total += bestSim
-		}
-		if counted == 0 || total == 0 {
-			continue
-		}
-		best[name] = Result{Table: t, Score: total / float64(counted), Method: "syntactic-union", Column: -1}
+		out = append(out, Result{Table: t, Score: totals[i] / float64(counted), Method: "syntactic-union", Column: -1})
 	}
-	return rankResults(best, k), nil
+	return sortResults(out, k), nil
 }
 
 // SimilarityFunc is the paper's Fig. 4 extension point: a user implements
@@ -254,40 +295,30 @@ func rankResults(best map[string]Result, k int) []Result {
 	for _, r := range best {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
-		}
-		return out[a].Table.Name < out[b].Table.Name
-	})
+	return sortResults(out, k)
+}
+
+// sortResults sorts one result per table into ranking order in place and
+// truncates to k.
+func sortResults(out []Result, k int) []Result {
+	slices.SortFunc(out, compareResults)
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
 	return out
 }
 
-// jaccard is tokenize.Jaccard inlined over value sets (both already
-// normalized/deduplicated).
-func jaccard(a, b []string) float64 {
-	as := make(map[string]bool, len(a))
-	for _, x := range a {
-		as[x] = true
-	}
-	inter := 0
-	bs := make(map[string]bool, len(b))
-	for _, x := range b {
-		if !bs[x] {
-			bs[x] = true
-			if as[x] {
-				inter++
-			}
+// compareResults is the ranking order: score descending, then table name
+// ascending. Table names are unique catalog-wide, so the order is total
+// and any sort of a ranking yields the same sequence.
+func compareResults(a, b Result) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
 		}
+		return 1
 	}
-	union := len(as) + len(bs) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
+	return strings.Compare(a.Table.Name, b.Table.Name)
 }
 
 // IntegrationSet merges the query table with discovery results from any

@@ -199,6 +199,74 @@ func TestQueryTableNeverDiscovered(t *testing.T) {
 	}
 }
 
+// TestQueryColumnDomainCachedForCopies pins when a query reuses the lake's
+// cached domain: the lake's own table, or a same-named copy whose query
+// column holds the same cells (what a lake table decoded from a request
+// body is). Any difference in that column — a changed cell, a null, a
+// missing row — extracts the domain afresh, and every method answers a
+// copy exactly as it answers the original.
+func TestQueryColumnDomainCachedForCopies(t *testing.T) {
+	l := demoLake(t)
+	orig, _ := l.Get("T2")
+	col := cityCol(t, orig)
+	copyOf := func(edit func(*table.Table)) *table.Table {
+		c := table.New(orig.Name, orig.Columns...)
+		for _, row := range orig.Rows {
+			c.Rows = append(c.Rows, append([]table.Value(nil), row...))
+		}
+		if edit != nil {
+			edit(c)
+		}
+		return c
+	}
+	other := (col + 1) % orig.NumCols()
+	cases := []struct {
+		name   string
+		q      *table.Table
+		cached bool
+	}{
+		{"original", orig, true},
+		{"copy", copyOf(nil), true},
+		{"other column edited", copyOf(func(c *table.Table) { c.Rows[0][other] = table.StringValue("edited") }), true},
+		{"query cell edited", copyOf(func(c *table.Table) { c.Rows[0][col] = table.StringValue("Lyon") }), false},
+		{"query cell nulled", copyOf(func(c *table.Table) { c.Rows[0][col] = table.NullValue() }), false},
+		{"row dropped", copyOf(func(c *table.Table) { c.Rows = c.Rows[1:] }), false},
+		{"renamed", copyOf(func(c *table.Table) { c.Name = "T2 copy" }), false},
+	}
+	for _, tc := range cases {
+		cached, domain, err := queryColumnDomain(l, tc.q, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (cached != nil) != tc.cached {
+			t.Errorf("%s: cached domain used = %v, want %v", tc.name, cached != nil, tc.cached)
+		}
+		want, _ := lake.QueryDomain(tc.q, col)
+		if cached != nil {
+			domain = cached.Values
+		}
+		if !reflect.DeepEqual(domain, want) {
+			t.Errorf("%s: domain %q, want %q", tc.name, domain, want)
+		}
+	}
+	for _, d := range []Discoverer{SantosUnion{}, LSHJoin{Threshold: 0.1}, JosieJoin{}, SyntacticUnion{}} {
+		want, err := d.Discover(context.Background(), l, orig, col, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.Discover(context.Background(), l, copyOf(nil), col, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s answers the copy %v, the original %v", d.Name(), got, want)
+		}
+	}
+	if _, _, err := queryColumnDomain(l, copyOf(nil), orig.NumCols()); err == nil {
+		t.Error("an out-of-range column must error even for a lake table's copy")
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	want := []string{"josie-join", "lsh-join", "santos-union", "syntactic-union"}

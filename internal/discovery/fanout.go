@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/lake"
@@ -348,12 +349,7 @@ func mergeShardRankings(lists [][]Result, k int) []Result {
 	for _, l := range lists {
 		out = append(out, l...)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
-		}
-		return out[a].Table.Name < out[b].Table.Name
-	})
+	slices.SortFunc(out, compareResults)
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}

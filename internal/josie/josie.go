@@ -31,7 +31,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/par"
@@ -445,11 +446,11 @@ func (ix *Index) topKTokens(ctx context.Context, tokens []queryToken, k int) ([]
 		return nil, ctx.Err()
 	}
 	done := ctx.Done()
-	sort.Slice(tokens, func(a, b int) bool {
-		if tokens[a].freq != tokens[b].freq {
-			return tokens[a].freq < tokens[b].freq
+	slices.SortFunc(tokens, func(a, b queryToken) int {
+		if a.freq != b.freq {
+			return a.freq - b.freq
 		}
-		return tokens[a].tok < tokens[b].tok
+		return strings.Compare(a.tok, b.tok)
 	})
 	// cnt[si] is the running overlap of set si (0 = not a candidate; admitted
 	// candidates always count at least 1). hist[c] counts candidates whose
@@ -519,11 +520,11 @@ func (ix *Index) topKTokens(ctx context.Context, tokens []queryToken, k int) ([]
 	for _, si := range touched {
 		results = append(results, Result{Set: &ix.sets[si], Overlap: int(cnt[si])})
 	}
-	sort.Slice(results, func(a, b int) bool {
-		if results[a].Overlap != results[b].Overlap {
-			return results[a].Overlap > results[b].Overlap
+	slices.SortFunc(results, func(a, b Result) int {
+		if a.Overlap != b.Overlap {
+			return b.Overlap - a.Overlap
 		}
-		return results[a].Set.key < results[b].Set.key
+		return strings.Compare(a.Set.key, b.Set.key)
 	})
 	if k > 0 && len(results) > k {
 		results = results[:k]

@@ -502,8 +502,8 @@ func extractDomains(tables []*table.Table, dict *table.Dict, tokens *table.Token
 // the rows twice. Raw renderings dedupe first (so each distinct cell string
 // normalizes once), then normalized forms dedupe, both in first-seen order.
 func columnValueSet(t *table.Table, c int) []string {
-	seenRaw := make(map[string]struct{})
-	seenNorm := make(map[string]struct{})
+	seenRaw := make(map[string]struct{}, len(t.Rows))
+	seenNorm := make(map[string]struct{}, len(t.Rows))
 	var out []string
 	for _, row := range t.Rows {
 		v := row[c]
@@ -634,11 +634,13 @@ func (l *Lake) Domains() []lshensemble.Domain {
 	return l.domains
 }
 
-// QueryDomain extracts the normalized value set of a query table column,
-// using the same normalization as the lake's indexes.
+// QueryDomain extracts the normalized value set of a query table column
+// with the same single-pass extractor the lake's own domains come from
+// (columnValueSet), so a query column and an identical lake column yield
+// the same members in the same order.
 func QueryDomain(q *table.Table, col int) ([]string, error) {
 	if col < 0 || col >= q.NumCols() {
 		return nil, fmt.Errorf("lake: query column %d out of range for table %q", col, q.Name)
 	}
-	return tokenize.ValueSet(q.DistinctStrings(col)), nil
+	return columnValueSet(q, col), nil
 }

@@ -1,14 +1,18 @@
 package lake
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/kb"
 	"repro/internal/paperdata"
 	"repro/internal/table"
+	"repro/internal/tokenize"
 )
 
 func demoLake(t *testing.T) *Lake {
@@ -113,6 +117,61 @@ func TestQueryDomain(t *testing.T) {
 	}
 	if _, err := QueryDomain(q, 9); err == nil {
 		t.Error("out of range must error")
+	}
+}
+
+// TestQueryDomainMatchesValueSet pins QueryDomain to its defining
+// expression, tokenize.ValueSet(DistinctStrings): same members, same
+// order, on nulls of both kinds, mixed kinds that render alike, values
+// that normalize to empty and values that collide after normalization.
+// The lake's own domains come from the same extractor, so DomainFor's
+// values must match it too.
+func TestQueryDomainMatchesValueSet(t *testing.T) {
+	cells := []table.Value{
+		table.NullValue(), table.ProducedNull(),
+		table.IntValue(7), table.StringValue("7"), table.FloatValue(7), table.StringValue(" 7 "),
+		table.BoolValue(true), table.StringValue("true"), table.StringValue("TRUE"),
+		table.StringValue(""), table.StringValue("--"), table.StringValue("!!!"), table.StringValue("   "),
+		table.StringValue("Alice"), table.StringValue(" alice"), table.StringValue("ALICE!"),
+		table.StringValue("x-ray"), table.StringValue("x ray"), table.FloatValue(2.5), table.StringValue("2.5"),
+	}
+	rng := rand.New(rand.NewSource(1))
+	var tables []*table.Table
+	for i := 0; i < 40; i++ {
+		tb := table.New(fmt.Sprintf("q%d", i), "a", "b", "c")
+		for r := 0; r < rng.Intn(12); r++ {
+			tb.MustAddRow(cells[rng.Intn(len(cells))], cells[rng.Intn(len(cells))], cells[rng.Intn(len(cells))])
+		}
+		tables = append(tables, tb)
+	}
+	all := table.New("all", "v")
+	for _, v := range cells {
+		all.MustAddRow(v)
+	}
+	tables = append(tables, all)
+	for _, tb := range tables {
+		for c := 0; c < tb.NumCols(); c++ {
+			got, err := QueryDomain(tb, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tokenize.ValueSet(tb.DistinctStrings(c)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s col %d: QueryDomain = %q, want %q", tb.Name, c, got, want)
+			}
+		}
+	}
+	l, err := New(tables, Options{Knowledge: kb.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range tables {
+		for c := 0; c < tb.NumCols(); c++ {
+			if d := l.DomainFor(tb.Name, c); d != nil {
+				if want, _ := QueryDomain(tb, c); !reflect.DeepEqual(d.Values, want) {
+					t.Fatalf("%s col %d: lake domain %q, QueryDomain %q", tb.Name, c, d.Values, want)
+				}
+			}
+		}
 	}
 }
 

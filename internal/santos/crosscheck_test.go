@@ -10,6 +10,7 @@ package santos
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -327,4 +328,121 @@ func typeMatchScore(knowledge *kb.KB, qt, ct string) float64 {
 		}
 	}
 	return 0
+}
+
+// TestCrossCheckLakeTableQueries pins the indexed-semantics reuse: a query
+// that is an indexed table — the same pointer, a copy, or a copy as a JSON
+// round trip returns it (integral floats as ints) — must rank
+// exactly as the string reference does, and the reused graph must equal
+// annotating the copy through a query scope. A copy differing in one
+// cell's kind or rendering must not be reused.
+func TestCrossCheckLakeTableQueries(t *testing.T) {
+	know := kb.Demo()
+	rng := rand.New(rand.NewSource(21))
+	cities := []string{"Berlin", "berlin", "Boston", "Tokyo", "Lyon", "Madrid", "Atlantis"}
+	countries := []string{"Germany", "USA", "U.S.A.", "Japan", "France", "Spain", "Nowhere"}
+	mixed := []table.Value{
+		table.IntValue(12), table.StringValue("12"), table.FloatValue(12), table.FloatValue(3.5),
+		table.BoolValue(true), table.NullValue(), table.ProducedNull(), table.StringValue("--"),
+	}
+	mk := func(name string, rows int) *table.Table {
+		tb := table.New(name, "city", "country", "noise")
+		for r := 0; r < rows; r++ {
+			city := table.Value(table.StringValue(cities[rng.Intn(len(cities))]))
+			country := table.Value(table.StringValue(countries[rng.Intn(len(countries))]))
+			if rng.Intn(4) == 0 {
+				city = mixed[rng.Intn(len(mixed))]
+			}
+			if rng.Intn(4) == 0 {
+				country = mixed[rng.Intn(len(mixed))]
+			}
+			tb.MustAddRow(city, country, mixed[rng.Intn(len(mixed))])
+		}
+		return tb
+	}
+	lakeTables := append(paperdata.CovidLake(), paperdata.T1())
+	for i := 0; i < 8; i++ {
+		lakeTables = append(lakeTables, mk(fmt.Sprintf("m%02d", i), 4+rng.Intn(10)))
+	}
+	copyOf := func(tb *table.Table) *table.Table {
+		c := table.New(tb.Name, tb.Columns...)
+		for _, row := range tb.Rows {
+			c.Rows = append(c.Rows, append([]table.Value(nil), row...))
+		}
+		return c
+	}
+	// wireCopy is what a JSON round trip returns: integral floats come
+	// back as ints, produced nulls as missing nulls.
+	wireCopy := func(tb *table.Table) *table.Table {
+		c := copyOf(tb)
+		for _, row := range c.Rows {
+			for i, v := range row {
+				if f := v.FloatVal(); v.Kind() == table.Float && f == float64(int64(f)) {
+					row[i] = table.IntValue(int64(f))
+				} else if v.IsNull() {
+					row[i] = table.NullValue()
+				}
+			}
+		}
+		return c
+	}
+	dict := table.NewDict()
+	var buf []uint32
+	for _, tb := range lakeTables {
+		for _, row := range tb.Rows {
+			buf = dict.InternRow(row, buf)
+		}
+	}
+	indexes := map[string]*Index{
+		"detached": Build(lakeTables, know),
+		"dict":     BuildWithAnnotator(lakeTables[:len(lakeTables)-3], kb.NewAnnotator(know.Compiled(), dict)),
+	}
+	// Tables added after the build take the same path.
+	indexes["dict"].Add(lakeTables[len(lakeTables)-3:])
+	for variant, ix := range indexes {
+		s := ix.scratch.Get().(*kb.Scratch)
+		for _, lt := range lakeTables {
+			for qi, q := range []*table.Table{lt, copyOf(lt), wireCopy(lt)} {
+				ts, ok := ix.indexedSemantics(q)
+				if !ok {
+					t.Fatalf("%s %s (query %d): indexed semantics not reused", variant, lt.Name, qi)
+				}
+				if fresh := annotate(q, ix.ann.QueryScope(), s); !reflect.DeepEqual(ts.cols, fresh.cols) {
+					t.Fatalf("%s %s: indexed graph %+v, annotating the query gives %+v", variant, lt.Name, ts.cols, fresh.cols)
+				}
+				for col := 0; col < q.NumCols(); col++ {
+					got, gerr := ix.Query(q, col, 0)
+					want, werr := refQuery(lakeTables, know, q, col, 0)
+					if (gerr == nil) != (werr == nil) {
+						t.Fatalf("%s %s col=%d: error mismatch: %v vs %v", variant, lt.Name, col, gerr, werr)
+					}
+					if gerr == nil {
+						assertSameRanking(t, fmt.Sprintf("%s %s col=%d", variant, lt.Name, col), got, want)
+					}
+				}
+			}
+			if len(lt.Rows) == 0 {
+				continue
+			}
+			for _, edit := range []table.Value{table.StringValue("edited"), table.NullValue()} {
+				c := copyOf(lt)
+				c.Rows[0][0] = edit
+				if !c.Rows[0][0].Same(lt.Rows[0][0]) {
+					if _, ok := ix.indexedSemantics(c); ok {
+						t.Errorf("%s %s: a copy with an edited cell reused the indexed graph", variant, lt.Name)
+					}
+				}
+			}
+			if v := lt.Rows[0][0]; v.Kind() == table.String {
+				c := copyOf(lt)
+				c.Rows[0][0] = table.IntValue(12)
+				if v.Str() == "12" {
+					if _, ok := ix.indexedSemantics(c); ok {
+						t.Errorf("%s %s: a copy with a cell of another kind reused the indexed graph", variant, lt.Name)
+					}
+				}
+			}
+		}
+		ix.scratch.Put(s)
+	}
 }

@@ -215,6 +215,40 @@ func annotate(t *table.Table, ann *kb.Annotator, s *kb.Scratch) tableSemantics {
 	return ts
 }
 
+// indexedSemantics returns the indexed semantic graph of the table named
+// q.Name when q holds the same cells (sameCells), such as a lake table
+// decoded from a request body. annotate reads nothing else from a table,
+// and a query scope resolves every lake value to the code the index
+// annotated it with; the only codes a scope may number differently are
+// extended ones, which never vote. So the graph equals annotating q.
+func (ix *Index) indexedSemantics(q *table.Table) (tableSemantics, bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	for _, ts := range ix.tables {
+		if ts.t.Name == q.Name {
+			return ts, sameCells(ts.t, q)
+		}
+	}
+	return tableSemantics{}, false
+}
+
+// sameCells reports whether a and b have the same number of columns and
+// every column is the same in both (table.Table.SameColumn).
+func sameCells(a, b *table.Table) bool {
+	if a == b {
+		return true
+	}
+	if a.NumCols() != b.NumCols() {
+		return false
+	}
+	for c := range a.NumCols() {
+		if !a.SameColumn(b, c) {
+			return false
+		}
+	}
+	return true
+}
+
 // sortedUnique sorts keys ascending and removes duplicates in place,
 // turning an edge list into the canonical set form edgeJaccard merges.
 func sortedUnique(keys []uint64) []uint64 {
@@ -307,7 +341,9 @@ type Result struct {
 // The query table is annotated through a transient scope of the index's
 // shared annotation cache: lake tables resolve entirely from cached codes,
 // while foreign query values are canonicalized per query and reclaimed, so
-// query traffic never grows the shared cache.
+// query traffic never grows the shared cache. A query holding the same
+// cells as the indexed table of its name skips annotation and reuses that
+// table's semantic graph.
 func (ix *Index) Query(q *table.Table, intentCol int, k int) ([]Result, error) {
 	return ix.QueryCtx(context.Background(), q, intentCol, k)
 }
@@ -326,10 +362,15 @@ func (ix *Index) QueryCtx(ctx context.Context, q *table.Table, intentCol int, k 
 	}
 	// Query values resolve through a per-query scope: lake values hit the
 	// shared bounded cache, foreign query strings are reclaimed with the
-	// scope instead of accumulating in the lake-wide annotator.
-	s := ix.scratch.Get().(*kb.Scratch)
-	qs := annotate(q, ix.ann.QueryScope(), s)
-	ix.scratch.Put(s)
+	// scope instead of accumulating in the lake-wide annotator. A query that
+	// is an indexed table, cell for cell, reuses that table's semantic graph
+	// instead (see indexedSemantics).
+	qs, ok := ix.indexedSemantics(q)
+	if !ok {
+		s := ix.scratch.Get().(*kb.Scratch)
+		qs = annotate(q, ix.ann.QueryScope(), s)
+		ix.scratch.Put(s)
+	}
 	var qcs *columnSemantics
 	for i := range qs.cols {
 		if qs.cols[i].col == intentCol {

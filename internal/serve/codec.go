@@ -20,6 +20,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/table"
 )
@@ -99,8 +100,13 @@ func decodeValue(cell any) (table.Value, error) {
 	case string:
 		return table.StringValue(c), nil
 	case json.Number:
-		if i, err := c.Int64(); err == nil {
-			return table.IntValue(i), nil
+		// Int64 parses only an optionally signed digit string, so a number
+		// with a fraction or an exponent goes straight to Float64 instead of
+		// paying for a failed integer parse first.
+		if !strings.ContainsAny(c.String(), ".eE") {
+			if i, err := c.Int64(); err == nil {
+				return table.IntValue(i), nil
+			}
 		}
 		f, err := c.Float64()
 		if err != nil {

@@ -326,6 +326,32 @@ func TestTableCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeNumberMatchesIntThenFloat pins decodeValue's number rule to
+// its definition: a JSON number is an Int when strconv parses it as an
+// int64, else a Float, else an error — whatever the literal's form.
+func TestDecodeNumberMatchesIntThenFloat(t *testing.T) {
+	for _, lit := range []string{
+		"0", "-0", "7", "-7", "0.0", "2.5", "-2.5", "1e3", "1E3", "1e+3", "-1e-3", "0.1e2",
+		"9223372036854775807", "-9223372036854775808", "9223372036854775808",
+		"-9223372036854775809", "123456789012345678901234567890", "1e400", "-1e400", "4.9e-324",
+	} {
+		n := json.Number(lit)
+		var want table.Value
+		wantErr := false
+		if i, err := n.Int64(); err == nil {
+			want = table.IntValue(i)
+		} else if f, err := n.Float64(); err == nil {
+			want = table.FloatValue(f)
+		} else {
+			wantErr = true
+		}
+		got, err := decodeValue(n)
+		if (err != nil) != wantErr || (!wantErr && (got.Kind() != want.Kind() || !got.Equal(want))) {
+			t.Errorf("decodeValue(%s) = %v (%v), err %v; want %v (%v), err %v", lit, got, got.Kind(), err, want, want.Kind(), wantErr)
+		}
+	}
+}
+
 // parkedDiscoverer blocks inside the discovery stage until its context is
 // cancelled — a deterministic in-flight request for the shutdown test.
 type parkedDiscoverer struct{ started chan struct{} }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/par"
 )
 
 // ReadCSV parses CSV from r into a table. The first record is taken as the
@@ -125,22 +127,34 @@ func (t *Table) WriteCSVFile(path string) error {
 }
 
 // LoadDir reads every *.csv file in dir (non-recursively) and returns the
-// tables sorted by name, as a data-lake loading convenience.
+// tables sorted by name, as a data-lake loading convenience. Files are read
+// in parallel into slots indexed by directory-entry order, so the result —
+// and, when several files fail, the error returned (the first in
+// directory-entry order) — is the same as reading them one by one.
 func LoadDir(dir string) ([]*Table, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("table: read dir %s: %w", dir, err)
 	}
-	var tables []*Table
+	var paths []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(strings.ToLower(e.Name()), ".csv") {
 			continue
 		}
-		t, err := ReadCSVFile(filepath.Join(dir, e.Name()))
+		paths = append(paths, filepath.Join(dir, e.Name()))
+	}
+	if len(paths) == 0 {
+		return nil, nil
+	}
+	tables := make([]*Table, len(paths))
+	errs := make([]error, len(paths))
+	par.For(len(paths), func(i int) {
+		tables[i], errs[i] = ReadCSVFile(paths[i])
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		tables = append(tables, t)
 	}
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
 	return tables, nil

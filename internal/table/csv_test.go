@@ -2,8 +2,11 @@ package table
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -110,5 +113,80 @@ func TestFileAndDirIO(t *testing.T) {
 	}
 	if _, err := ReadCSVFile(filepath.Join(dir, "missing.csv")); err == nil {
 		t.Error("ReadCSVFile on missing file must error")
+	}
+}
+
+// loadDirSequential is LoadDir as a one-file-at-a-time loop, the reference
+// the parallel reader must reproduce.
+func loadDirSequential(dir string) ([]*Table, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("table: read dir %s: %w", dir, err)
+	}
+	var tables []*Table
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(strings.ToLower(e.Name()), ".csv") {
+			continue
+		}
+		t, err := ReadCSVFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return nil, err
+		}
+		tables = append(tables, t)
+	}
+	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
+	return tables, nil
+}
+
+// TestLoadDirMatchesSequential pins the parallel LoadDir to the sequential
+// loop: the same tables in the same order (upper-case extensions, a
+// directory named like a CSV, non-CSV files, and two files that strip to
+// one table name included), the same nil result for a directory without
+// CSVs, and — with several unreadable files — the same error, the first
+// in directory-entry order.
+func TestLoadDirMatchesSequential(t *testing.T) {
+	write := func(dir, name, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	for i := 0; i < 40; i++ {
+		write(dir, fmt.Sprintf("t%02d.csv", 39-i), fmt.Sprintf("k,v\nrow%d,%d\nx,%d.5\n", i, i, i))
+	}
+	write(dir, "UPPER.CSV", "a\n1\n")
+	write(dir, "dup.csv", "a\nfrom csv\n")
+	write(dir, "dup.CSV", "a\nfrom CSV\n")
+	write(dir, "notes.txt", "not a table")
+	if err := os.Mkdir(filepath.Join(dir, "sub.csv"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadDir(dir)
+	want, wantErr := loadDirSequential(dir)
+	if err != nil || wantErr != nil {
+		t.Fatalf("LoadDir err %v, sequential err %v", err, wantErr)
+	}
+	if len(got) != 43 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("LoadDir returned %d tables, differs from the sequential load (%d)", len(got), len(want))
+	}
+
+	empty := t.TempDir()
+	write(empty, "readme.md", "#")
+	if got, err := LoadDir(empty); got != nil || err != nil {
+		t.Fatalf("LoadDir on a dir without CSVs = %v, %v; want nil, nil", got, err)
+	}
+
+	bad := t.TempDir()
+	for i := 0; i < 20; i++ {
+		write(bad, fmt.Sprintf("ok%02d.csv", i), "a\n1\n")
+	}
+	write(bad, "m_bad.csv", "a,b\n\"unterminated,1\n")
+	write(bad, "c_empty.csv", "")
+	write(bad, "x_bad.csv", "a\n\"x\"y\n")
+	_, err = LoadDir(bad)
+	_, wantErr = loadDirSequential(bad)
+	if err == nil || wantErr == nil || err.Error() != wantErr.Error() || !strings.Contains(err.Error(), "c_empty") {
+		t.Fatalf("LoadDir err %v, sequential err %v; want the same first error, from c_empty.csv", err, wantErr)
 	}
 }

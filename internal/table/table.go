@@ -93,6 +93,21 @@ func (t *Table) ColumnByName(name string) ([]Value, error) {
 	return t.Column(i), nil
 }
 
+// SameColumn reports whether column c exists in both tables, holds as
+// many rows in each, and is Same cell for cell: what t's column yields as
+// a domain or an annotation, o's yields too.
+func (t *Table) SameColumn(o *Table, c int) bool {
+	if c < 0 || c >= t.NumCols() || c >= o.NumCols() || len(t.Rows) != len(o.Rows) {
+		return false
+	}
+	for r, row := range t.Rows {
+		if !row[c].Same(o.Rows[r][c]) {
+			return false
+		}
+	}
+	return true
+}
+
 // DistinctStrings returns the set of distinct non-null cell renderings of
 // column c, in first-seen order. It is the domain extraction used by the
 // joinable-search indexes (LSH Ensemble, JOSIE), which operate on string

@@ -17,6 +17,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -261,6 +262,38 @@ func (v Value) Equal(o Value) bool {
 	default:
 		return false
 	}
+}
+
+// Same reports whether v and o read alike as text: both null (of either
+// kind), or both non-null with the same String() and both or neither of
+// kind String. Domain extraction and KB annotation read a cell through
+// nothing else, so tables whose cells are pairwise Same yield the same
+// domains and annotations. An integral Float is Same as the Int of its
+// value (both render as the integer), which is how numbers come back from
+// a JSON round trip.
+func (v Value) Same(o Value) bool {
+	if v.IsNull() || o.IsNull() {
+		return v.IsNull() == o.IsNull()
+	}
+	if (v.kind == String) != (o.kind == String) {
+		return false
+	}
+	if v.kind == o.kind {
+		switch v.kind {
+		case String:
+			return v.s == o.s
+		case Int:
+			return v.i == o.i
+		case Bool:
+			return v.b == o.b
+		case Float:
+			// Equal bits render alike; unequal bits may still (NaN payloads).
+			if math.Float64bits(v.f) == math.Float64bits(o.f) {
+				return true
+			}
+		}
+	}
+	return v.String() == o.String()
 }
 
 // Compare orders values deterministically: nulls first, then by kind class

@@ -212,3 +212,25 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestSameIsTextualReading pins Same to its definition over every pair
+// of a mixed sample: both null, or both non-null, both or neither String,
+// with equal String().
+func TestSameIsTextualReading(t *testing.T) {
+	vals := []Value{
+		NullValue(), ProducedNull(),
+		StringValue("7"), IntValue(7), FloatValue(7), StringValue("7.5"), FloatValue(7.5),
+		IntValue(-7), FloatValue(-7), IntValue(0), FloatValue(0), FloatValue(math.Copysign(0, -1)), FloatValue(math.NaN()),
+		FloatValue(math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)), FloatValue(math.Inf(1)),
+		BoolValue(true), StringValue("true"), BoolValue(false), StringValue(""), StringValue("±"),
+	}
+	for _, x := range vals {
+		for _, y := range vals {
+			want := x.IsNull() && y.IsNull() ||
+				!x.IsNull() && !y.IsNull() && (x.Kind() == String) == (y.Kind() == String) && x.String() == y.String()
+			if got := x.Same(y); got != want {
+				t.Errorf("%v (%v).Same(%v (%v)) = %v, want %v", x, x.Kind(), y, y.Kind(), got, want)
+			}
+		}
+	}
+}

@@ -6,13 +6,16 @@
 #   scripts/bench_snapshot.sh [PR_NUMBER]
 #
 # Environment:
-#   BENCHTIME  go test -benchtime value (default 1x: smoke-speed; use e.g.
-#              2s for stable numbers)
+#   BENCHTIME  go test -benchtime value (default 1s, enough iterations for
+#              deltas to mean something; 1x is a smoke-speed pass)
 #   BENCH      benchmark regex passed to -bench (default '.')
 #
 # Output schema (one object per benchmark):
-#   {"name": "BenchmarkFig1Pipeline", "iterations": 4897,
-#    "ns_per_op": 217861, "bytes_per_op": 111525, "allocs_per_op": 1791}
+#   {"name": "BenchmarkFig1Pipeline", "benchtime": "1s", "gomaxprocs": 2,
+#    "iterations": 4897, "ns_per_op": 217861, "bytes_per_op": 111525,
+#    "allocs_per_op": 1791}
+# gomaxprocs is read from the -N suffix go test appends to each benchmark
+# name (no suffix means 1).
 # B/op and allocs/op fields are omitted when -benchmem reports none.
 # Custom b.ReportMetric units (e.g. "f1", "lsh-ns/op", "cancel-ns/op") are
 # captured too, with the unit sanitized into a JSON key ("lsh_ns_per_op").
@@ -21,7 +24,7 @@ cd "$(dirname "$0")/.."
 
 PR="${1:-1}"
 OUT="BENCH_${PR}.json"
-BENCHTIME="${BENCHTIME:-1x}"
+BENCHTIME="${BENCHTIME:-1s}"
 BENCH="${BENCH:-.}"
 
 # The root package carries the paper-figure benchmarks; loadharness
@@ -29,11 +32,15 @@ BENCH="${BENCH:-.}"
 # serving throughput a tracked number alongside ns/op; cluster carries
 # BenchmarkClusterDiscovery, the HTTP scatter-gather fan-out cost.
 go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem . ./internal/loadharness/ ./internal/cluster/ |
-	awk '
+	awk -v benchtime="$BENCHTIME" '
 	/^Benchmark/ {
 		name = $1
-		sub(/-[0-9]+$/, "", name)  # strip -GOMAXPROCS suffix
-		entry = sprintf("{\"name\": \"%s\", \"iterations\": %s", name, $2)
+		procs = 1
+		if (match(name, /-[0-9]+$/)) {  # strip the -GOMAXPROCS suffix
+			procs = substr(name, RSTART + 1)
+			name = substr(name, 1, RSTART - 1)
+		}
+		entry = sprintf("{\"name\": \"%s\", \"benchtime\": \"%s\", \"gomaxprocs\": %s, \"iterations\": %s", name, benchtime, procs, $2)
 		for (i = 3; i < NF; i++) {
 			u = $(i+1)
 			if (u == "ns/op")          entry = entry sprintf(", \"ns_per_op\": %s", $i)
@@ -60,7 +67,8 @@ echo "wrote $OUT ($(grep -c '"name"' "$OUT") benchmarks)"
 # Delta section: compare against the previous snapshot (the highest
 # version-sorted BENCH_*.json other than the one just written) so CI logs
 # and PR descriptions can quote the perf trajectory. Informational only —
-# the single-CPU CI container is noisy, so there is no hard gate.
+# snapshots taken at different benchtimes or on different machines are
+# noisy against each other, so there is no hard gate.
 prev=""
 for f in $(ls BENCH_*.json 2>/dev/null | sort -V); do
 	[ "$f" = "$OUT" ] && continue
