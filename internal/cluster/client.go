@@ -140,7 +140,8 @@ type errorBody struct {
 
 // do runs one logical call against the shard: marshal body (nil means no
 // body), POST/GET path, decode a 200 into out (json.Number preserved, so
-// int64 cells and float64 scores round-trip bit-exactly), map any failure
+// int64 cells and float64 scores round-trip bit-exactly; a
+// *serve.LakeTables is read by serve.ReadLakeTables), map any failure
 // to a *ShardError. Idempotent calls retry transport failures and 503s
 // with linear backoff; the caller's ctx bounds the whole loop and each
 // attempt is additionally capped by callTimeout.
@@ -235,6 +236,15 @@ func (c *shardClient) attempt(ctx context.Context, op, method, path string, payl
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
 	}
+	if lt, ok := out.(*serve.LakeTables); ok {
+		// A table batch has its own codec: parsed straight into tables.
+		parsed, err := serve.ReadLakeTables(resp.Body)
+		if err != nil {
+			return &ShardError{Shard: c.shard, Addr: c.addr, Op: op, Err: fmt.Errorf("decode response: %w", err)}
+		}
+		*lt = parsed
+		return nil
+	}
 	dec := json.NewDecoder(resp.Body)
 	dec.UseNumber() // int64 cells survive the round trip bit-exactly
 	if err := dec.Decode(out); err != nil {
@@ -271,8 +281,8 @@ func (c *shardClient) lakeInfo(ctx context.Context) (serve.LakeResponse, error) 
 	return out, err
 }
 
-func (c *shardClient) getTables(ctx context.Context, names []string) (serve.LakeTablesResponse, error) {
-	var out serve.LakeTablesResponse
+func (c *shardClient) getTables(ctx context.Context, names []string) (serve.LakeTables, error) {
+	var out serve.LakeTables
 	err := c.doIdempotent(ctx, "tables", http.MethodPost, "/v1/lake/tables", serve.LakeTablesRequest{Names: names}, &out)
 	return out, err
 }

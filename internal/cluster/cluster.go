@@ -255,9 +255,9 @@ func (c *Coordinator) Tables() []*table.Table {
 			return
 		}
 		out := make([]*table.Table, 0, len(resp.Tables))
-		for _, tj := range resp.Tables {
-			if t, derr := tj.DecodeTable(); derr == nil {
-				out = append(out, t)
+		for _, lt := range resp.Tables {
+			if lt.Err == nil {
+				out = append(out, lt.Table)
 			}
 		}
 		per[i] = out
@@ -391,10 +391,13 @@ func (c *Coordinator) Remove(names ...string) error {
 	// provides the rollback payload.
 	ctx, cancel := c.callCtx()
 	defer cancel()
-	fetched := make([]serve.LakeTablesResponse, len(involved))
+	fetched := make([]serve.LakeTables, len(involved))
 	ferrs := make([]error, len(involved))
 	par.For(len(involved), func(j int) {
-		fetched[j], ferrs[j] = c.shards[involved[j]].getTables(ctx, perShard[involved[j]])
+		i := involved[j]
+		if fetched[j], ferrs[j] = c.shards[i].getTables(ctx, perShard[i]); ferrs[j] == nil {
+			_, ferrs[j] = tableMap(i, fetched[j])
+		}
 	})
 	if err := firstErr(ferrs); err != nil {
 		return fmt.Errorf("cluster: remove validation: %w", err)
@@ -419,7 +422,11 @@ func (c *Coordinator) Remove(names ...string) error {
 	defer rbCancel()
 	par.For(len(involved), func(j int) {
 		if errs[j] == nil {
-			_ = c.shards[involved[j]].add(rbCtx, fetched[j].Tables)
+			tables := make([]serve.TableJSON, len(fetched[j].Tables))
+			for k, lt := range fetched[j].Tables {
+				tables[k] = serve.EncodeTable(lt.Table)
+			}
+			_ = c.shards[involved[j]].add(rbCtx, tables)
 		}
 	})
 	return firstErr(errs)
@@ -522,16 +529,7 @@ func (c *Coordinator) ResolveTables(ctx context.Context, names []string) (map[st
 			errs[j] = err
 			return
 		}
-		m := make(map[string]*table.Table, len(resp.Tables))
-		for _, tj := range resp.Tables {
-			t, derr := tj.DecodeTable()
-			if derr != nil {
-				errs[j] = fmt.Errorf("cluster: shard %d: malformed table %q: %w", i, tj.Name, derr)
-				return
-			}
-			m[t.Name] = t
-		}
-		resolved[j] = m
+		resolved[j], errs[j] = tableMap(i, resp)
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, err
@@ -543,6 +541,19 @@ func (c *Coordinator) ResolveTables(ctx context.Context, names []string) (map[st
 		}
 	}
 	return out, nil
+}
+
+// tableMap keys a shard's fetched tables by name. A table the shard sent
+// malformed fails the whole batch.
+func tableMap(shard int, resp serve.LakeTables) (map[string]*table.Table, error) {
+	m := make(map[string]*table.Table, len(resp.Tables))
+	for _, lt := range resp.Tables {
+		if lt.Err != nil {
+			return nil, fmt.Errorf("cluster: shard %d: malformed table %q: %w", shard, lt.Name, lt.Err)
+		}
+		m[lt.Name] = lt.Table
+	}
+	return m, nil
 }
 
 // ShardHealth probes every shard's health and size concurrently — the

@@ -162,8 +162,18 @@ func (ix *Index) Remove(names []string) int {
 	return removed
 }
 
-// annotate computes the semantic graph of a table over annotation codes.
+// annotate computes the full semantic graph of a table over annotation
+// codes, as the index stores it.
 func annotate(t *table.Table, ann *kb.Annotator, s *kb.Scratch) tableSemantics {
+	return annotateFor(t, ann, s, -1)
+}
+
+// annotateFor computes the semantic graph of a table over annotation
+// codes. With intent < 0 it is the whole graph. With intent >= 0 it is
+// that column's part, all a query reads: only column pairs touching intent
+// are related, and cols holds intent alone (if it is annotated), its
+// edges the same as in the whole graph.
+func annotateFor(t *table.Table, ann *kb.Annotator, s *kb.Scratch, intent int) tableSemantics {
 	ck := ann.Compiled()
 	ts := tableSemantics{t: t}
 	nc := t.NumCols()
@@ -184,7 +194,7 @@ func annotate(t *table.Table, ann *kb.Annotator, s *kb.Scratch) tableSemantics {
 			continue
 		}
 		for b := a + 1; b < nc; b++ {
-			if rowCodes[b] == nil || anns[b].Type == "" {
+			if rowCodes[b] == nil || anns[b].Type == "" || (intent >= 0 && a != intent && b != intent) {
 				continue
 			}
 			pa, labelID := ck.AnnotatePairCodes(rowCodes[a], rowCodes[b], s)
@@ -202,7 +212,7 @@ func annotate(t *table.Table, ann *kb.Annotator, s *kb.Scratch) tableSemantics {
 		}
 	}
 	for c := 0; c < nc; c++ {
-		if anns[c].Type == "" {
+		if anns[c].Type == "" || (intent >= 0 && c != intent) {
 			continue
 		}
 		ts.cols = append(ts.cols, columnSemantics{
@@ -368,7 +378,7 @@ func (ix *Index) QueryCtx(ctx context.Context, q *table.Table, intentCol int, k 
 	qs, ok := ix.indexedSemantics(q)
 	if !ok {
 		s := ix.scratch.Get().(*kb.Scratch)
-		qs = annotate(q, ix.ann.QueryScope(), s)
+		qs = annotateFor(q, ix.ann.QueryScope(), s, intentCol)
 		ix.scratch.Put(s)
 	}
 	var qcs *columnSemantics

@@ -65,14 +65,11 @@ type LakeTablesRequest struct {
 	Names []string `json:"names"`
 }
 
-// LakeTablesResponse carries the tables that exist; names that do not
-// (removed between the caller's ranking and this fetch) land in Missing
-// rather than failing the batch — the caller decides what a gap means.
-type LakeTablesResponse struct {
-	Tables  []TableJSON `json:"tables"`
-	Missing []string    `json:"missing,omitempty"`
-}
-
+// lakeTables answers with the tables that exist, in request order; names
+// that do not (removed between the caller's ranking and this fetch) are
+// listed under "missing" rather than failing the batch — the caller
+// decides what a gap means. The body is written by lakeTablesBody's codec
+// (codec.go), not encoding/json.
 func (s *Server) lakeTables(ctx context.Context, r *http.Request) (any, error) {
 	var req LakeTablesRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -81,16 +78,16 @@ func (s *Server) lakeTables(ctx context.Context, r *http.Request) (any, error) {
 	if len(req.Names) == 0 {
 		return nil, fmt.Errorf("no table names to fetch")
 	}
-	resp := LakeTablesResponse{Tables: make([]TableJSON, 0, len(req.Names))}
+	body := lakeTablesBody{tables: make([]*table.Table, 0, len(req.Names))}
 	l := s.p().Lake()
 	for _, n := range req.Names {
 		if t, ok := l.Get(n); ok {
-			resp.Tables = append(resp.Tables, EncodeTable(t))
+			body.tables = append(body.tables, t)
 		} else {
-			resp.Missing = append(resp.Missing, n)
+			body.missing = append(body.missing, n)
 		}
 	}
-	return resp, nil
+	return body, nil
 }
 
 // lakeCompact forces the catalog's index compaction (POST /v1/lake/compact).

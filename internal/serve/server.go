@@ -327,15 +327,40 @@ type errorBody struct {
 	Status int    `json:"status"`
 }
 
+// jsonAppender is a response body that writes its own JSON (with the
+// trailing newline json.Encoder adds), such as lakeTablesBody. writeJSON
+// sends those bytes as they are.
+type jsonAppender interface {
+	appendJSON(dst []byte) ([]byte, error)
+}
+
+// appendBufs holds the buffers jsonAppender bodies are written into.
+var appendBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	// Marshal before touching the response: encoding can fail after the
 	// fact (a lake cell parsed as ±Inf has no JSON representation), and a
 	// failure discovered after WriteHeader would turn into a silent 200
 	// with a truncated body. This way it becomes an honest 500.
-	buf := &bytes.Buffer{}
-	enc := json.NewEncoder(buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(body); err != nil {
+	var out []byte
+	var err error
+	if a, ok := body.(jsonAppender); ok {
+		bp := appendBufs.Get().(*[]byte)
+		out, err = a.appendJSON((*bp)[:0])
+		defer func() {
+			if cap(out) <= maxPooledBody {
+				*bp = out[:0]
+				appendBufs.Put(bp)
+			}
+		}()
+	} else {
+		buf := &bytes.Buffer{}
+		enc := json.NewEncoder(buf)
+		enc.SetEscapeHTML(false)
+		err = enc.Encode(body)
+		out = buf.Bytes()
+	}
+	if err != nil {
 		if status == http.StatusInternalServerError {
 			// The error envelope itself failed to encode; nothing left to say.
 			w.WriteHeader(http.StatusInternalServerError)
@@ -346,7 +371,7 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(out)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
